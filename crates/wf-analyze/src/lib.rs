@@ -13,9 +13,10 @@
 //! * the model-check suite (under `tests/`) — deterministic interleaving
 //!   exploration of the lock-free search core using the vendored
 //!   `shuttle-mini` scheduler: the monotone `SearchThreshold` floor
-//!   under racing observers, merge determinism, and `CorpusService`
-//!   search-versus-churn linearizability, plus a mutation test proving
-//!   the checker actually catches the bug class it exists for.
+//!   under concurrent observers, merge determinism, and `CorpusService`
+//!   plain and deadline search-versus-churn linearizability, plus a
+//!   mutation test proving the checker actually catches the bug class it
+//!   exists for.
 //!
 //! The rule table, the allow-comment syntax, and how to reproduce a
 //! failing model-check schedule from its seed are documented in the

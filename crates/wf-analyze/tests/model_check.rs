@@ -21,7 +21,7 @@ use std::sync::Arc;
 use shuttle_mini::sync::atomic::AtomicU64;
 use shuttle_mini::{check_exhaustive, check_random, thread};
 use wf_model::{builder::WorkflowBuilder, ModuleType, Workflow, WorkflowId};
-use wf_repo::{merge_top_k, SearchHit, SearchThreshold, TopK};
+use wf_repo::{merge_top_k, CancelToken, SearchHit, SearchThreshold, TopK};
 use wf_sim::{CorpusService, ShardedCorpus, SimilarityConfig};
 
 // ---------------------------------------------------------------------
@@ -184,11 +184,13 @@ fn quiescent_reference(workflows: Vec<Workflow>, query: &str, k: usize) -> Vec<S
 }
 
 /// One churn thread runs `remove(b)` then `add(g)` while the root thread
-/// searches.  Per-shard snapshots are taken at lock instants, so the
-/// result must equal the quiescent answer of one of the four corpus
-/// states the churn can expose: {with/without b} x {with/without g}.
-/// Seeded random exploration: every iteration's schedule replays from
-/// `(seed, iteration)` alone.
+/// runs a plain search and then a deadline search.  Per-shard snapshots
+/// are taken at lock instants (all up front for the plain search, one
+/// shard at a time as the deadline search admits them), so each result
+/// must equal the quiescent answer of one of the four corpus states the
+/// churn can expose: {with/without b} x {with/without g}.  Seeded random
+/// exploration: every iteration's schedule replays from `(seed,
+/// iteration)` alone.
 #[test]
 fn service_search_racing_churn_matches_a_quiescent_state() {
     const K: usize = 3;
@@ -242,6 +244,15 @@ fn service_search_racing_churn_matches_a_quiescent_state() {
             refs.contains(&hits),
             "search result matches no quiescent corpus state: {hits:?}"
         );
+        let deadline = service
+            .search_deadline(&WorkflowId::new(QUERY), K, &CancelToken::never())
+            .expect("query stays resident through churn");
+        assert!(!deadline.degraded, "a never token cannot degrade");
+        assert!(
+            refs.contains(&deadline.hits),
+            "deadline search result matches no quiescent corpus state: {:?}",
+            deadline.hits
+        );
         churner.join().expect("churn thread panicked");
         // Quiescent again: now exactly the {without b, with g} answer.
         let settled = service
@@ -253,7 +264,8 @@ fn service_search_racing_churn_matches_a_quiescent_state() {
 }
 
 /// A workflow fully removed *before* the search starts must never appear
-/// in its results, no matter how a concurrent add interleaves.
+/// in its results, plain or deadline-bound, no matter how a concurrent add
+/// interleaves.
 #[test]
 fn pre_removed_workflow_never_surfaces_in_search() {
     let report = check_random(0xBEEF, 120, || {
@@ -276,99 +288,17 @@ fn pre_removed_workflow_never_surfaces_in_search() {
             hits.iter().all(|h| h.id.0 != "b"),
             "pre-removed id resurfaced: {hits:?}"
         );
+        let deadline = service
+            .search_deadline(&WorkflowId::new("a"), 4, &CancelToken::never())
+            .expect("query resident");
+        assert!(
+            deadline.hits.iter().all(|h| h.id.0 != "b"),
+            "pre-removed id resurfaced in a deadline search: {:?}",
+            deadline.hits
+        );
         adder.join().expect("adder thread panicked");
     });
     report.assert_ok();
-}
-
-// ---------------------------------------------------------------------
-// Racing scatter-gather: per-shard drains against the shared floor.
-// ---------------------------------------------------------------------
-
-/// The racing scatter-gather's worker unit — [`wf_sim::drain_shard`], the
-/// *real* per-shard frontier scan — run from two threads over the two
-/// shards of a real corpus, publishing into one shared `SearchThreshold`.
-/// Under every interleaving the merged gather must be bit-identical to
-/// the sequential scatter-gather: pruning is strictly below a floor that
-/// is always a true worst-of-k of exactly-scored candidates, so the race
-/// can only change which worker does the pruning work, never the result.
-///
-/// (The production racing path spawns plain `std` scoped threads, which
-/// shuttle-mini cannot instrument — so the model check races the drains
-/// directly on shuttle threads instead.)
-#[test]
-fn racing_shard_drains_are_schedule_independent() {
-    const K: usize = 3;
-    const QUERY: &str = "a";
-    let sharded = Arc::new(ShardedCorpus::build(
-        SimilarityConfig::best_module_sets(),
-        2,
-        base_workflows(),
-    ));
-    assert_eq!(sharded.shard_count(), 2);
-    assert!(
-        sharded.shards().iter().all(|s| !s.is_empty()),
-        "both shards must have candidates for the race to mean anything"
-    );
-    let reference = sharded
-        .search(&WorkflowId::new(QUERY), K)
-        .expect("query resident");
-    assert!(!reference.is_empty());
-
-    let corpus = Arc::clone(&sharded);
-    let report = check_exhaustive(500_000, move || {
-        let threshold = Arc::new(SearchThreshold::new());
-        let worker = {
-            let (corpus, threshold) = (Arc::clone(&corpus), Arc::clone(&threshold));
-            thread::spawn(move || {
-                let shard = &corpus.shards()[1];
-                let features = shard
-                    .measure()
-                    .query_features(corpus.get(&WorkflowId::new(QUERY)).expect("query resident"));
-                let mut stats = wf_repo::SearchStats::default();
-                wf_sim::drain_shard(
-                    shard,
-                    &features,
-                    &WorkflowId::new(QUERY),
-                    K,
-                    &threshold,
-                    &wf_repo::CancelToken::never(),
-                    &mut stats,
-                )
-            })
-        };
-        let shard = &corpus.shards()[0];
-        let features = shard
-            .measure()
-            .query_features(corpus.get(&WorkflowId::new(QUERY)).expect("query resident"));
-        let mut stats = wf_repo::SearchStats::default();
-        let part_0 = wf_sim::drain_shard(
-            shard,
-            &features,
-            &WorkflowId::new(QUERY),
-            K,
-            &threshold,
-            &wf_repo::CancelToken::never(),
-            &mut stats,
-        );
-        let part_1 = worker.join().expect("shard drain worker panicked");
-        let merged = merge_top_k([part_0, part_1], K);
-        assert_eq!(merged.len(), reference.len(), "hit count must not race");
-        for (got, want) in merged.iter().zip(&reference) {
-            assert_eq!(got.id, want.id, "ids and tie order must not race");
-            assert_eq!(
-                got.score.to_bits(),
-                want.score.to_bits(),
-                "scores must be bit-identical under every schedule"
-            );
-        }
-    });
-    report.assert_ok();
-    assert!(
-        report.complete,
-        "racing drain schedule tree must be fully explored, ran {} schedules",
-        report.schedules
-    );
 }
 
 // ---------------------------------------------------------------------

@@ -20,6 +20,8 @@
 //!   through the inverted-index engine with upper-bound pruning; `scan`
 //!   exhaustively scores every workflow per query (the seed path).  Both
 //!   return identical hit lists.
+//! * `--threads N` — worker threads of the scan engine (default 8); the
+//!   indexed engine answers a query on the calling thread.
 //! * `--bench-json PATH` — benchmark mode: time both engines over a query
 //!   set and write a machine-readable report (used by CI to track the perf
 //!   trajectory); `--quick` shrinks the corpus for smoke runs.
@@ -218,15 +220,10 @@ fn run_search(options: &Options, repository: &Repository) -> Result<(), String> 
     match (options.engine, config) {
         (Engine::Indexed, Some(config)) => {
             let corpus = Corpus::build(config, repository.workflows().to_vec());
-            let engine = corpus.search_engine().with_threads(options.threads);
             let query_index = corpus
                 .index_of(&query_id)
                 .expect("query id resolved against the same corpus");
-            let (hits, stats) = if options.threads > 1 {
-                engine.top_k_parallel_with_stats(query_index, options.k)
-            } else {
-                engine.top_k_with_stats(query_index, options.k)
-            };
+            let (hits, stats) = corpus.top_k_with_stats(query_index, options.k);
             print_hits(
                 repository,
                 &query,

@@ -268,10 +268,10 @@ pub fn sort_best_bound_first(candidates: &mut [RankedCandidate]) {
 }
 
 /// The one prune-and-score loop behind every bound-pruned top-k scan — the
-/// sequential indexed engine, each parallel worker's stride, and every
-/// shard of a scatter-gather search all walk their candidates through
-/// here, so the zero-bound short-circuit, the strict-below-floor pruning
-/// and the stats accounting can never drift apart between engines.
+/// indexed engine and the global frontier of a scatter-gather search both
+/// walk their candidates through here, so the zero-bound short-circuit,
+/// the strict-below-floor pruning and the stats accounting can never drift
+/// apart between engines.
 ///
 /// `candidates` must arrive in [`sort_best_bound_first`] order (`total` is
 /// its length, needed for prune accounting); `score` computes the exact
@@ -347,86 +347,6 @@ where
         }
     }
     top.into_hits()
-}
-
-/// Parallel variant of [`scan_ranked_candidates`]: the bound-ranked list
-/// is dealt round-robin to `threads` racing workers, each walking its
-/// stride through the sequential scan loop — private [`TopK`] heap, the
-/// one shared `threshold` published via its lock-free `fetch_max`, the
-/// `cancel` token polled per worker between candidates — and the workers'
-/// heaps gathered through [`merge_top_k`] into the canonical order.
-///
-/// Bit-identical to the sequential scan over the same list, under every
-/// interleaving: each stride preserves the global best-bound-first order
-/// within the worker, and any floor a worker prunes against is a true
-/// worst-of-k of `k` distinct exactly-scored candidates, so the final
-/// k-th best is at least the floor and no pruned candidate could have
-/// entered the merged top-k.  Racing changes how much work each worker
-/// prunes — never the result.  Unlike the sequential scan (which returns
-/// heap order for the caller to merge), this returns the merged, sorted
-/// top-k.  Worker counters are accumulated into `stats`.
-#[allow(clippy::too_many_arguments)] // the scan's full contract, plus the worker count
-pub fn scan_ranked_candidates_parallel<F, G>(
-    candidates: &[RankedCandidate],
-    k: usize,
-    threads: usize,
-    threshold: &SearchThreshold,
-    cancel: &crate::search::CancelToken,
-    stats: &mut SearchStats,
-    score: F,
-    id_of: G,
-) -> Vec<SearchHit>
-where
-    F: Fn(usize) -> f64 + Sync,
-    G: Fn(usize) -> WorkflowId + Sync,
-{
-    let threads = threads.max(1).min(candidates.len().max(1));
-    if threads <= 1 {
-        let hits = scan_ranked_candidates(
-            candidates.iter(),
-            candidates.len(),
-            k,
-            threshold,
-            cancel,
-            stats,
-            &score,
-            &id_of,
-        );
-        return merge_top_k([hits], k);
-    }
-    let (parts, worker_stats) = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|worker| {
-                let (score, id_of) = (&score, &id_of);
-                scope.spawn(move || {
-                    let mut local = SearchStats::default();
-                    // Round-robin stride, preserving the global
-                    // best-bound-first order within the worker.
-                    let hits = scan_ranked_candidates(
-                        candidates.iter().skip(worker).step_by(threads),
-                        candidates.len().saturating_sub(worker).div_ceil(threads),
-                        k,
-                        threshold,
-                        cancel,
-                        &mut local,
-                        score,
-                        id_of,
-                    );
-                    (hits, local)
-                })
-            })
-            .collect();
-        let mut parts = Vec::with_capacity(threads);
-        let mut merged = SearchStats::default();
-        for w in workers {
-            let (hits, s) = w.join().expect("parallel scan worker panicked");
-            parts.push(hits);
-            merged.merge(&s);
-        }
-        (merge_top_k(parts, k), merged)
-    });
-    stats.merge(&worker_stats);
-    parts
 }
 
 /// A pull-based merge of several [`sort_best_bound_first`]-ordered
@@ -536,7 +456,6 @@ impl<'f, 'a> Iterator for RankedFrontierIter<'f, 'a> {
 pub struct IndexedSearchEngine<'s, S: CorpusScorer + ?Sized> {
     scorer: &'s S,
     index: Cow<'s, TokenIndex>,
-    threads: usize,
 }
 
 impl<'s, S: CorpusScorer + ?Sized> IndexedSearchEngine<'s, S> {
@@ -545,7 +464,6 @@ impl<'s, S: CorpusScorer + ?Sized> IndexedSearchEngine<'s, S> {
         IndexedSearchEngine {
             index: Cow::Owned(TokenIndex::build(scorer)),
             scorer,
-            threads: 4,
         }
     }
 
@@ -564,15 +482,7 @@ impl<'s, S: CorpusScorer + ?Sized> IndexedSearchEngine<'s, S> {
         IndexedSearchEngine {
             index: Cow::Borrowed(index),
             scorer,
-            threads: 4,
         }
-    }
-
-    /// Sets the number of worker threads for
-    /// [`IndexedSearchEngine::top_k_parallel`] (at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The underlying inverted index.
@@ -602,42 +512,6 @@ impl<'s, S: CorpusScorer + ?Sized> IndexedSearchEngine<'s, S> {
             |i| self.scorer.workflow_id(i).clone(),
         );
         (merge_top_k([hits], k), stats)
-    }
-
-    /// Parallel variant: the bound-ranked candidate list is dealt
-    /// round-robin to workers, each keeping a private bounded top-k heap
-    /// but publishing its worst-of-k to one shared [`SearchThreshold`], so
-    /// every worker prunes against the best floor any of them has found.
-    /// Lock-free and bit-identical to the sequential search.
-    pub fn top_k_parallel(&self, query: usize, k: usize) -> Vec<SearchHit> {
-        self.top_k_parallel_with_stats(query, k).0
-    }
-
-    /// [`IndexedSearchEngine::top_k_parallel`] plus instrumentation.
-    pub fn top_k_parallel_with_stats(
-        &self,
-        query: usize,
-        k: usize,
-    ) -> (Vec<SearchHit>, SearchStats) {
-        let (candidates, mut stats) = self.ranked_candidates(query);
-        if k == 0 || candidates.is_empty() {
-            stats.pruned = candidates.len();
-            return (Vec::new(), stats);
-        }
-        if self.threads.min(candidates.len()) <= 1 {
-            return self.top_k_with_stats(query, k);
-        }
-        let hits = scan_ranked_candidates_parallel(
-            &candidates,
-            k,
-            self.threads,
-            &SearchThreshold::new(),
-            &crate::search::CancelToken::never(),
-            &mut stats,
-            |i| self.scorer.score(query, i),
-            |i| self.scorer.workflow_id(i).clone(),
-        );
-        (hits, stats)
     }
 
     /// All candidates (corpus minus query) with their bounds and token
@@ -775,15 +649,16 @@ mod tests {
     #[test]
     fn indexed_matches_exhaustive_scan_for_every_query_and_k() {
         let scorer = corpus();
-        let engine = IndexedSearchEngine::new(&scorer).with_threads(3);
+        let engine = IndexedSearchEngine::new(&scorer);
+        let borrowed = IndexedSearchEngine::with_index(&scorer, engine.index());
         for query in 0..scorer.corpus_len() {
             for k in [0, 1, 3, 6, 10] {
                 let expected = scan_top_k(&scorer, query, k);
                 assert_eq!(engine.top_k(query, k), expected, "q={query} k={k}");
                 assert_eq!(
-                    engine.top_k_parallel(query, k),
+                    borrowed.top_k(query, k),
                     expected,
-                    "parallel q={query} k={k}"
+                    "borrowed index q={query} k={k}"
                 );
             }
         }

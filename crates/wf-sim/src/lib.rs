@@ -79,7 +79,6 @@ pub use pipeline::{SimilarityReport, WorkflowSimilarity};
 pub use prior_work::{prior_approaches, PriorApproach};
 pub use profile::{ClassPairTable, ModuleProfile, ProfiledMeasure, QueryFeatures, WorkflowProfile};
 pub use shard::{
-    drain_shard, CorpusService, DegradedSearch, SearchParallelism, ShardOrigin, ShardPartition,
-    ShardSnapshotError, ShardedCorpus,
+    CorpusService, DegradedSearch, ShardOrigin, ShardPartition, ShardSnapshotError, ShardedCorpus,
 };
 pub use stacking::{learn_weights, weight_grid, LearnedWeights, RankEnsemble};

@@ -37,10 +37,11 @@
 //! only ever skips a candidate whose admissible upper bound falls
 //! *strictly* below the shared threshold floor — and the floor is always a
 //! true k-th best score of `k` distinct candidates, so no pruned candidate
-//! can enter the merged top-k, under any cursor merge order or thread
-//! interleaving.  The gather step sorts by the canonical `(score desc, id
-//! asc)` hit ordering, so ids, scores *and* tie order equal the
-//! single-corpus [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine).
+//! can enter the merged top-k, whether the shards are merged into one
+//! frontier or drained one after another.  The gather step sorts by the
+//! canonical `(score desc, id asc)` hit ordering, so ids, scores *and* tie
+//! order equal the single-corpus
+//! [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine).
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -107,73 +108,6 @@ impl ShardPartition {
             "hash" => Some(ShardPartition::HashId),
             "round-robin" => Some(ShardPartition::RoundRobin),
             _ => None,
-        }
-    }
-}
-
-/// How a single query's candidate scan is executed across the shards.
-///
-/// Both modes are **bit-identical** — ids, scores, tie order — to the
-/// single-corpus [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine);
-/// the knob only trades scheduling strategy:
-///
-/// * [`Sequential`](SearchParallelism::Sequential) merges every shard's
-///   ranked cursor into one global best-bound-first frontier scanned on
-///   the calling thread.  Scoring order is globally optimal, so this mode
-///   does the *least* total work; per-query latency is flat in shard
-///   count.
-/// * [`Racing`](SearchParallelism::Racing) spawns one worker per shard
-///   (bounded by `max_workers`) that drains its shard's cursor against
-///   the one shared lock-free [`SearchThreshold`], so every worker prunes
-///   against the globally tightening k-th-best floor.  Workers may score
-///   candidates a sequential frontier would have pruned (the floor
-///   tightens a little later), but pruning is *strictly below* a floor
-///   that is always a true worst-of-k of exactly-scored candidates, so no
-///   interleaving can change the merged result — only the work split.
-///   With idle cores this turns shards into a per-query latency win.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchParallelism {
-    /// One global frontier, scanned sequentially (the default).
-    #[default]
-    Sequential,
-    /// Per-shard workers racing the shared threshold floor, at most
-    /// `max_workers` threads (clamped to at least 1; values above the
-    /// shard count are clamped down to one worker per shard).
-    Racing {
-        /// Upper bound on worker threads for one query's scan.
-        max_workers: usize,
-    },
-}
-
-impl SearchParallelism {
-    /// One worker per shard — the natural racing configuration.
-    pub fn racing_per_shard() -> Self {
-        SearchParallelism::Racing {
-            max_workers: usize::MAX,
-        }
-    }
-
-    /// The number of workers a scan over `shard_count` shards actually
-    /// uses in this mode.
-    pub fn workers_for(self, shard_count: usize) -> usize {
-        match self {
-            SearchParallelism::Sequential => 1,
-            SearchParallelism::Racing { max_workers } => max_workers.max(1).min(shard_count.max(1)),
-        }
-    }
-}
-
-impl fmt::Display for SearchParallelism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SearchParallelism::Sequential => f.write_str("sequential"),
-            SearchParallelism::Racing { max_workers } => {
-                if *max_workers == usize::MAX {
-                    f.write_str("racing")
-                } else {
-                    write!(f, "racing({max_workers})")
-                }
-            }
         }
     }
 }
@@ -246,9 +180,6 @@ pub struct ShardedCorpus {
     routes: BTreeMap<WorkflowId, u32>,
     /// Next rotation slot for new round-robin ids.
     next_rr: usize,
-    /// How a single query's scan is scheduled across the shards (a
-    /// runtime knob, not persisted by [`ShardedCorpus::save`]).
-    parallelism: SearchParallelism,
 }
 
 impl ShardedCorpus {
@@ -308,25 +239,7 @@ impl ShardedCorpus {
             shards,
             routes,
             next_rr,
-            parallelism: SearchParallelism::default(),
         }
-    }
-
-    /// Sets the intra-query scan strategy (builder form).  Both modes are
-    /// bit-identical; see [`SearchParallelism`].
-    pub fn with_parallelism(mut self, parallelism: SearchParallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the intra-query scan strategy in place.
-    pub fn set_parallelism(&mut self, parallelism: SearchParallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// The intra-query scan strategy.
-    pub fn parallelism(&self) -> SearchParallelism {
-        self.parallelism
     }
 
     /// The configured similarity algorithm (shared by every shard).
@@ -444,14 +357,6 @@ impl ShardedCorpus {
         Some(self.scatter(&features, query, k))
     }
 
-    /// Query by example: the `k` workflows most similar to an arbitrary
-    /// (not necessarily resident) workflow.  Residents sharing the query's
-    /// id are excluded, mirroring the single-corpus engines.
-    pub fn search_workflow(&self, wf: &Workflow, k: usize) -> Vec<SearchHit> {
-        let features = self.query_features(wf);
-        self.scatter(&features, &wf.id, k).0
-    }
-
     /// Answers a batch of queries on `threads` worker threads, one global
     /// best-bound-first frontier per query (queries are the work-stealing
     /// unit, so every query keeps the full pruning power of
@@ -537,28 +442,14 @@ impl ShardedCorpus {
         self.shards[0].measure().query_features(wf)
     }
 
-    /// Scatter-gather in the configured [`SearchParallelism`] mode:
-    /// either one global sequential frontier or per-shard workers racing
-    /// the shared threshold — bit-identical results either way.
+    /// Scatter-gather over the owned shards: one global frontier.
     fn scatter(
         &self,
         features: &QueryFeatures,
         exclude: &WorkflowId,
         k: usize,
     ) -> (Vec<SearchHit>, SearchStats) {
-        match self.parallelism {
-            SearchParallelism::Sequential => {
-                scatter_gather(self.shards.len(), |i| &self.shards[i], features, exclude, k)
-            }
-            SearchParallelism::Racing { max_workers } => scatter_gather_racing(
-                self.shards.len(),
-                |i| &self.shards[i],
-                features,
-                exclude,
-                k,
-                max_workers,
-            ),
-        }
+        scatter_gather(self.shards.len(), |i| &self.shards[i], features, exclude, k)
     }
 
     /// Deadline-bound scatter-gather: like [`ShardedCorpus::search`], but
@@ -576,27 +467,15 @@ impl ShardedCorpus {
     ) -> Option<DegradedSearch> {
         let wf = self.get(query)?;
         let features = self.query_features(wf);
-        Some(match self.parallelism {
-            SearchParallelism::Sequential => scatter_gather_deadline(
-                self.shards.len(),
-                |i| &self.shards[i],
-                &features,
-                query,
-                k,
-                cancel,
-                |_| true,
-            ),
-            SearchParallelism::Racing { max_workers } => scatter_gather_deadline_racing(
-                self.shards.len(),
-                |i| &self.shards[i],
-                &features,
-                query,
-                k,
-                cancel,
-                &|_| true,
-                max_workers,
-            ),
-        })
+        Some(scatter_gather_deadline(
+            self.shards.len(),
+            |i| &self.shards[i],
+            &features,
+            query,
+            k,
+            cancel,
+            |_| true,
+        ))
     }
 
     /// Writes one snapshot file per shard plus a manifest into `dir`
@@ -708,7 +587,6 @@ impl ShardedCorpus {
             shards,
             routes,
             next_rr,
-            parallelism: SearchParallelism::default(),
         })
     }
 
@@ -986,31 +864,6 @@ fn frontier_scan(
     )
 }
 
-/// Drains one shard's ranked cursor against a caller-shared threshold:
-/// builds the shard's cursor ([`shard_cursor`]) and runs the canonical
-/// prune-and-score loop over it, publishing every new worst-of-k into
-/// `threshold` and pruning strictly below its floor.
-///
-/// This is the per-worker unit of the racing scatter-gather
-/// ([`SearchParallelism::Racing`]): each worker owns one shard's drain,
-/// all workers share one [`SearchThreshold`] and one [`CancelToken`]
-/// (polled between candidates, so a fired deadline abandons the drain
-/// mid-stream with exact partial hits).  It is public so the `wf-analyze`
-/// model-check suite can race real shard drains under the deterministic
-/// scheduler; hits come back in heap order — gather them with
-/// [`merge_top_k`].
-pub fn drain_shard(
-    corpus: &Corpus,
-    features: &QueryFeatures,
-    exclude: &WorkflowId,
-    k: usize,
-    threshold: &SearchThreshold,
-    cancel: &CancelToken,
-    stats: &mut SearchStats,
-) -> Vec<SearchHit> {
-    frontier_scan(&[corpus], features, exclude, k, threshold, cancel, stats)
-}
-
 /// The deadline-aware scatter-gather loop behind the serving layer's
 /// cancellable search entry points.
 ///
@@ -1111,201 +964,6 @@ fn scatter_gather<R: std::ops::Deref<Target = Corpus>>(
     (merge_top_k(vec![hits], k), stats)
 }
 
-/// The racing scatter-gather behind [`SearchParallelism::Racing`]: all
-/// shard guards are acquired up front (ascending, the same consistent cut
-/// and lock order as [`scatter_gather`]), then `max_workers` threads race
-/// — each claims shards off a work-stealing ticket and drains them
-/// ([`drain_shard`]) against the one shared lock-free [`SearchThreshold`],
-/// so every worker prunes against the globally tightening k-th-best floor.
-///
-/// Bit-identical to the sequential frontier — ids, scores, tie order —
-/// under every interleaving: pruning is *strictly below* a floor that is
-/// always a true worst-of-k of `k` distinct exactly-scored candidates, so
-/// the final k-th best is at least any floor a worker raced against and
-/// no pruned candidate could have entered the merged top-k; the gather
-/// ([`merge_top_k`]) canonicalizes order.  What the race *does* change is
-/// the work split (`stats.scored` may exceed the sequential frontier's,
-/// because a worker can score a candidate the global frontier would have
-/// pruned a moment later) and the wall clock: with idle cores the scan
-/// time drops toward the largest single shard's drain.
-///
-/// Worker threads are plain `std` scoped threads, **not** shuttle-mini
-/// instrumented: racing searches must not run inside a model-check
-/// schedule (the wf-analyze suite races [`drain_shard`] directly with
-/// scheduler-controlled threads instead).
-fn scatter_gather_racing<R: std::ops::Deref<Target = Corpus>>(
-    shard_count: usize,
-    mut shard_at: impl FnMut(usize) -> R,
-    features: &QueryFeatures,
-    exclude: &WorkflowId,
-    k: usize,
-    max_workers: usize,
-) -> (Vec<SearchHit>, SearchStats) {
-    let guards: Vec<R> = (0..shard_count).map(&mut shard_at).collect();
-    let fronts: Vec<&Corpus> = guards.iter().map(|guard| &**guard).collect();
-    let workers = max_workers.max(1).min(shard_count);
-    let mut stats = SearchStats::default();
-    if workers <= 1 {
-        // One worker degenerates to the sequential global frontier, which
-        // scores strictly less: same result, best pruning power.
-        let hits = frontier_scan(
-            &fronts,
-            features,
-            exclude,
-            k,
-            &SearchThreshold::new(),
-            &CancelToken::never(),
-            &mut stats,
-        );
-        return (merge_top_k(vec![hits], k), stats);
-    }
-    let threshold = SearchThreshold::new();
-    let cancel = CancelToken::never();
-    let ticket = AtomicUsize::new(0);
-    let (parts, worker_stats) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (fronts, threshold, cancel, ticket) = (&fronts, &threshold, &cancel, &ticket);
-                scope.spawn(move || {
-                    let mut parts: Vec<Vec<SearchHit>> = Vec::new();
-                    let mut worker_stats = SearchStats::default();
-                    loop {
-                        // ordering: Relaxed — a pure work-stealing shard
-                        // ticket: fetch_add's atomicity hands each shard
-                        // to exactly one worker, and the scope join below
-                        // is the synchronization edge for the results.
-                        let shard = ticket.fetch_add(1, Ordering::Relaxed);
-                        if shard >= fronts.len() {
-                            return (parts, worker_stats);
-                        }
-                        parts.push(drain_shard(
-                            fronts[shard],
-                            features,
-                            exclude,
-                            k,
-                            threshold,
-                            cancel,
-                            &mut worker_stats,
-                        ));
-                    }
-                })
-            })
-            .collect();
-        let mut parts = Vec::with_capacity(shard_count);
-        let mut merged = SearchStats::default();
-        for handle in handles {
-            let (worker_parts, s) = handle.join().expect("racing scatter worker panicked");
-            parts.extend(worker_parts);
-            merged.merge(&s);
-        }
-        (parts, merged)
-    });
-    stats.merge(&worker_stats);
-    debug_assert!(!stats.cancelled, "never-token scatter cannot cancel");
-    (merge_top_k(parts, k), stats)
-}
-
-/// [`scatter_gather_racing`] with a deadline and a per-shard gate — the
-/// racing counterpart of [`scatter_gather_deadline`].
-///
-/// All shard guards are acquired up front (ascending — one consistent
-/// cut, like the non-deadline path), then workers claim shards off the
-/// ticket: each claim polls `cancel` (a fired deadline stops the worker;
-/// unclaimed shards stay unanswered), runs the gate (a veto skips the
-/// shard but the worker continues — one bad shard degrades coverage, not
-/// availability), and drains the shard against the shared threshold.  A
-/// gate that *stalls* (an injected delay fault) stalls only its own
-/// worker; the other workers keep draining their shards — under the
-/// sequential path the same stall would block every shard behind it, so
-/// racing is exactly what turns "a delayed shard costs the whole tail of
-/// the scatter" into "a delayed shard costs only its own coverage".
-///
-/// A shard is `answered` iff its gate passed and its drain ran to
-/// completion; hits proven before a deadline fires are exact, so the
-/// merged result is an honest partial, never a wrong one.
-#[allow(clippy::too_many_arguments)] // deadline + gate + worker bound: the full racing contract
-fn scatter_gather_deadline_racing<R: std::ops::Deref<Target = Corpus>>(
-    shard_count: usize,
-    mut shard_at: impl FnMut(usize) -> R,
-    features: &QueryFeatures,
-    exclude: &WorkflowId,
-    k: usize,
-    cancel: &CancelToken,
-    shard_gate: &(impl Fn(usize) -> bool + Sync),
-    max_workers: usize,
-) -> DegradedSearch {
-    let guards: Vec<R> = (0..shard_count).map(&mut shard_at).collect();
-    let fronts: Vec<&Corpus> = guards.iter().map(|guard| &**guard).collect();
-    let workers = max_workers.max(1).min(shard_count.max(1));
-    let threshold = SearchThreshold::new();
-    let ticket = AtomicUsize::new(0);
-    let mut stats = SearchStats::default();
-    let mut answered = vec![false; shard_count];
-    let mut parts: Vec<Vec<SearchHit>> = Vec::with_capacity(shard_count);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (fronts, threshold, ticket) = (&fronts, &threshold, &ticket);
-                scope.spawn(move || {
-                    let mut drained: Vec<(usize, bool, Vec<SearchHit>)> = Vec::new();
-                    let mut worker_stats = SearchStats::default();
-                    loop {
-                        // ordering: Relaxed — work-stealing shard ticket,
-                        // as in `scatter_gather_racing`; the scope join
-                        // publishes the results.
-                        let shard = ticket.fetch_add(1, Ordering::Relaxed);
-                        if shard >= fronts.len() {
-                            break;
-                        }
-                        // A fired deadline stops this worker; shards it
-                        // would have claimed stay unanswered.
-                        if cancel.is_cancelled() {
-                            worker_stats.cancelled = true;
-                            break;
-                        }
-                        // A vetoed shard (injected fault) is skipped but
-                        // the worker keeps claiming.
-                        if !shard_gate(shard) {
-                            continue;
-                        }
-                        let mut drain_stats = SearchStats::default();
-                        let hits = drain_shard(
-                            fronts[shard],
-                            features,
-                            exclude,
-                            k,
-                            threshold,
-                            cancel,
-                            &mut drain_stats,
-                        );
-                        // A drain cut short still contributes the exact
-                        // hits it proved; it just stays unanswered.
-                        let completed = !drain_stats.cancelled;
-                        worker_stats.merge(&drain_stats);
-                        drained.push((shard, completed, hits));
-                    }
-                    (drained, worker_stats)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (drained, worker_stats) = handle.join().expect("racing deadline worker panicked");
-            stats.merge(&worker_stats);
-            for (shard, completed, hits) in drained {
-                answered[shard] = completed;
-                parts.push(hits);
-            }
-        }
-    });
-    let degraded = answered.iter().any(|&a| !a);
-    DegradedSearch {
-        hits: merge_top_k(parts, k),
-        answered,
-        degraded,
-        stats,
-    }
-}
-
 /// A concurrent serving wrapper around a [`ShardedCorpus`]: one `RwLock`
 /// per shard, so any number of searches proceed in parallel and churn
 /// (`add` / `remove`) only write-locks the single shard owning the id.
@@ -1336,14 +994,10 @@ pub struct CorpusService {
     /// (unused, but kept consistent, for hash partitions).
     routes: Mutex<(BTreeMap<WorkflowId, u32>, usize)>,
     threads: usize,
-    /// Intra-query scan strategy, inherited from the wrapped
-    /// [`ShardedCorpus`] (see [`SearchParallelism`]).
-    parallelism: SearchParallelism,
 }
 
 impl CorpusService {
-    /// Wraps a built sharded corpus for concurrent serving (inheriting
-    /// its [`SearchParallelism`]).
+    /// Wraps a built sharded corpus for concurrent serving.
     pub fn new(sharded: ShardedCorpus) -> Self {
         CorpusService {
             config: sharded.config,
@@ -1351,7 +1005,6 @@ impl CorpusService {
             shards: sharded.shards.into_iter().map(RwLock::new).collect(),
             routes: Mutex::new((sharded.routes, sharded.next_rr)),
             threads: 4,
-            parallelism: sharded.parallelism,
         }
     }
 
@@ -1360,20 +1013,6 @@ impl CorpusService {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Sets the intra-query scan strategy.  Racing searches spawn plain
-    /// `std` scoped threads, so a racing service must not be driven from
-    /// inside a shuttle-mini model run (the model-check suite races
-    /// [`drain_shard`] directly instead).
-    pub fn with_parallelism(mut self, parallelism: SearchParallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The intra-query scan strategy.
-    pub fn parallelism(&self) -> SearchParallelism {
-        self.parallelism
     }
 
     /// Unwraps the service back into the single-owner [`ShardedCorpus`].
@@ -1389,7 +1028,6 @@ impl CorpusService {
                 .collect(),
             routes,
             next_rr,
-            parallelism: self.parallelism,
         }
     }
 
@@ -1518,23 +1156,13 @@ impl CorpusService {
             let wf = shard.get(query)?;
             shard.measure().query_features(wf)
         };
-        let (hits, _) = match self.parallelism {
-            SearchParallelism::Sequential => scatter_gather(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                query,
-                k,
-            ),
-            SearchParallelism::Racing { max_workers } => scatter_gather_racing(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                query,
-                k,
-                max_workers,
-            ),
-        };
+        let (hits, _) = scatter_gather(
+            self.shards.len(),
+            |i| self.read(&self.shards[i]),
+            &features,
+            query,
+            k,
+        );
         Some(hits)
     }
 
@@ -1564,7 +1192,7 @@ impl CorpusService {
         query: &WorkflowId,
         k: usize,
         cancel: &CancelToken,
-        shard_gate: impl Fn(usize) -> bool + Sync,
+        shard_gate: impl FnMut(usize) -> bool,
     ) -> Option<DegradedSearch> {
         let owner = self.owner_of(query)?;
         let features = {
@@ -1572,51 +1200,15 @@ impl CorpusService {
             let wf = shard.get(query)?;
             shard.measure().query_features(wf)
         };
-        Some(match self.parallelism {
-            SearchParallelism::Sequential => scatter_gather_deadline(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                query,
-                k,
-                cancel,
-                shard_gate,
-            ),
-            SearchParallelism::Racing { max_workers } => scatter_gather_deadline_racing(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                query,
-                k,
-                cancel,
-                &shard_gate,
-                max_workers,
-            ),
-        })
-    }
-
-    /// Query by example over the live corpus (residents sharing the
-    /// query's id are excluded).
-    pub fn search_workflow(&self, wf: &Workflow, k: usize) -> Vec<SearchHit> {
-        let features = self.read(&self.shards[0]).measure().query_features(wf);
-        match self.parallelism {
-            SearchParallelism::Sequential => scatter_gather(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                &wf.id,
-                k,
-            ),
-            SearchParallelism::Racing { max_workers } => scatter_gather_racing(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                &wf.id,
-                k,
-                max_workers,
-            ),
-        }
-        .0
+        Some(scatter_gather_deadline(
+            self.shards.len(),
+            |i| self.read(&self.shards[i]),
+            &features,
+            query,
+            k,
+            cancel,
+            shard_gate,
+        ))
     }
 
     /// Answers a batch of queries on the service's worker threads, each
@@ -1815,22 +1407,6 @@ mod tests {
     }
 
     #[test]
-    fn search_workflow_answers_external_queries() {
-        let sharded = ShardedCorpus::build(config(), 3, sample());
-        // A non-resident query scores against everything...
-        let external = wf("external", &["run blast", "render report"]);
-        let hits = sharded.search_workflow(&external, sharded.len());
-        assert_eq!(hits.len(), 6);
-        assert!(hits.iter().all(|h| h.id.as_str() != "external"));
-        // ... and a resident's workflow reproduces the by-id search.
-        let resident = sharded.get(&"a".into()).unwrap().clone();
-        assert_eq!(
-            sharded.search_workflow(&resident, 3),
-            sharded.search(&"a".into(), 3).unwrap()
-        );
-    }
-
-    #[test]
     fn search_batch_matches_sequential_search() {
         let sharded = ShardedCorpus::build(config(), 4, sample());
         let mut queries: Vec<WorkflowId> = sharded.ids();
@@ -1948,8 +1524,7 @@ mod tests {
         assert!(service.search(&"b".into(), 2).is_none());
         service.add(wf("g", &["run blast"]));
         assert_eq!(service.len(), 6);
-        let external = service.search_workflow(&wf("probe", &["run blast"]), 2);
-        assert_eq!(external.len(), 2);
+        assert_eq!(service.search(&"g".into(), 2).expect("resident").len(), 2);
 
         // Round-trip service → sharded keeps contents.
         let back = service.into_sharded();
@@ -2070,130 +1645,6 @@ mod tests {
             .collect();
         assert_eq!(result.hits, expected, "admitted shards answer exactly");
         assert!(result.hits.len() < full.len(), "coverage genuinely shrank");
-    }
-
-    #[test]
-    fn racing_search_is_bit_identical_to_sequential_for_every_partition() {
-        for shards in [1, 2, 4, 8] {
-            for partition in [ShardPartition::HashId, ShardPartition::RoundRobin] {
-                let sequential = ShardedCorpus::build_with(config(), shards, partition, sample());
-                for max_workers in [1, 2, 16, usize::MAX] {
-                    let racing = ShardedCorpus::build_with(config(), shards, partition, sample())
-                        .with_parallelism(SearchParallelism::Racing { max_workers });
-                    assert_eq!(
-                        racing.parallelism().workers_for(shards),
-                        max_workers.max(1).min(shards)
-                    );
-                    for id in sequential.ids() {
-                        for k in [0, 2, 10] {
-                            let expected = sequential.search(&id, k).expect("resident");
-                            let got = racing.search(&id, k).expect("resident");
-                            assert_eq!(got.len(), expected.len());
-                            for (g, e) in got.iter().zip(&expected) {
-                                assert_eq!(g.id, e.id, "{shards} shards, {max_workers} workers");
-                                assert_eq!(g.score.to_bits(), e.score.to_bits());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn racing_search_workflow_matches_sequential() {
-        let sequential = ShardedCorpus::build(config(), 4, sample());
-        let racing = ShardedCorpus::build(config(), 4, sample())
-            .with_parallelism(SearchParallelism::racing_per_shard());
-        let external = wf("external", &["run blast", "render report"]);
-        assert_eq!(
-            racing.search_workflow(&external, 10),
-            sequential.search_workflow(&external, 10)
-        );
-    }
-
-    #[test]
-    fn racing_never_token_deadline_search_equals_plain_search() {
-        let sharded = ShardedCorpus::build_with(config(), 3, ShardPartition::RoundRobin, sample())
-            .with_parallelism(SearchParallelism::racing_per_shard());
-        for id in sharded.ids() {
-            let plain = sharded.search(&id, 3).expect("resident");
-            let result = sharded
-                .search_deadline(&id, 3, &CancelToken::never())
-                .expect("resident");
-            assert!(!result.degraded, "a never token cannot degrade");
-            assert!(result.answered.iter().all(|&a| a));
-            assert_eq!(result.hits, plain, "query {id}");
-        }
-    }
-
-    #[test]
-    fn racing_pre_fired_deadline_returns_empty_fully_degraded_result() {
-        let sharded = ShardedCorpus::build_with(config(), 2, ShardPartition::RoundRobin, sample())
-            .with_parallelism(SearchParallelism::Racing { max_workers: 2 });
-        let token = CancelToken::never();
-        token.cancel();
-        let result = sharded
-            .search_deadline(&"a".into(), 3, &token)
-            .expect("residency is checked before the deadline");
-        assert!(result.degraded);
-        assert_eq!(result.answered, vec![false, false]);
-        assert!(result.hits.is_empty());
-        assert!(result.stats.cancelled);
-        assert_eq!(result.stats.scored, 0);
-    }
-
-    #[test]
-    fn racing_vetoed_shard_degrades_coverage_not_correctness() {
-        let service = CorpusService::new(ShardedCorpus::build_with(
-            config(),
-            3,
-            ShardPartition::RoundRobin,
-            sample(),
-        ))
-        .with_parallelism(SearchParallelism::racing_per_shard());
-        let query: WorkflowId = "a".into();
-        let full = service.search(&query, 10).expect("resident");
-        for vetoed in 0..3 {
-            let result = service
-                .search_deadline_with(&query, 10, &CancelToken::never(), |s| s != vetoed)
-                .expect("resident");
-            assert!(result.degraded, "vetoing shard {vetoed} must degrade");
-            for (shard, &answered) in result.answered.iter().enumerate() {
-                assert_eq!(answered, shard != vetoed, "shard {shard}");
-            }
-            for hit in &result.hits {
-                let reference = full
-                    .iter()
-                    .find(|h| h.id == hit.id)
-                    .expect("degraded hit exists in the full result");
-                assert_eq!(hit.score.to_bits(), reference.score.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn racing_zero_workers_clamps_to_one_and_stays_exact() {
-        let sharded = ShardedCorpus::build(config(), 3, sample())
-            .with_parallelism(SearchParallelism::Racing { max_workers: 0 });
-        assert_eq!(sharded.parallelism().workers_for(3), 1);
-        assert_matches_single(&sharded, "racing clamped to one worker");
-    }
-
-    #[test]
-    fn service_inherits_and_returns_parallelism() {
-        let sharded = ShardedCorpus::build(config(), 2, sample())
-            .with_parallelism(SearchParallelism::Racing { max_workers: 2 });
-        let service = CorpusService::new(sharded);
-        assert_eq!(
-            service.parallelism(),
-            SearchParallelism::Racing { max_workers: 2 }
-        );
-        let back = service.into_sharded();
-        assert_eq!(
-            back.parallelism(),
-            SearchParallelism::Racing { max_workers: 2 }
-        );
     }
 
     #[test]
